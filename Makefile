@@ -45,9 +45,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz: a short fuzzing pass over the frame codec invariants.
+## fuzz: a short fuzzing pass over the frame codec invariants, then over
+## the fast reception decision against the exact Binomial draw.
 fuzz:
 	$(GO) test ./internal/frame -run FuzzFCS -fuzz FuzzFCS -fuzztime 30s
+	$(GO) test ./internal/radio -run FuzzReceptionDecision -fuzz FuzzReceptionDecision -fuzztime 30s
 
 ## bench: run the microbenchmarks and write parsed JSON to $(BENCH_OUT).
 bench:

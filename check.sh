@@ -28,6 +28,12 @@ go test -race -count=1 \
 	-run 'TestCachedSumsMatchBruteForce|TestFilteredChurnBitIdentical|TestSpatialExactChurnBitIdentical|TestFoldedChurnBoundedError|TestRetuneWhileOnAir|TestDetachWithPendingInterest|TestWidebandDeliverySpansBands' \
 	./internal/medium
 go test -race -count=1 ./internal/arena ./internal/sim
+echo "== reception oracle under -race"
+# Every reception segment of a randomised churn run (co- and adjacent-
+# channel interference, capture, retune, power-off) checked against the
+# exact Binomial(bits, BitErrorRate(SINR)) on a twin stream: the fast
+# reception paths must give the same error count and stream position.
+go test -race -count=1 -run 'TestFastReceptionMatchesExactOracle' ./internal/radio
 echo "== crash-safety surface under -race"
 # Interrupt/resume bit-identity (the representative subset of the full
 # 17-table suite), keep-going failure collection, the deterministic-vs-

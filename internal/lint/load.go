@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -171,13 +172,18 @@ func (l *Loader) parseDir(dir string) (lib, intest, xtest []*ast.File, err error
 
 // check type-checks one file set as the package at path.
 func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	return l.checkWith(l, path, files)
+}
+
+// checkWith is check with imports resolved by imp.
+func (l *Loader) checkWith(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	cfg := &types.Config{Importer: l}
+	cfg := &types.Config{Importer: imp}
 	pkg, err := cfg.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, nil, err
@@ -202,16 +208,26 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		var under *types.Package // the package augmented with its in-package tests
 		if len(lib)+len(intest) > 0 {
 			files := append(append([]*ast.File{}, lib...), intest...)
 			tpkg, info, err := l.check(path, files)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", path, err)
 			}
+			under = tpkg
 			pkgs = append(pkgs, &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, Info: info})
 		}
 		if len(xtest) > 0 {
 			tpkg, info, err := l.check(path+"_test", xtest)
+			if err != nil && len(intest) > 0 && under != nil {
+				// The external tests may use what the in-package tests
+				// export (the export_test.go idiom): link them as go test
+				// does, against the augmented package.
+				imp := &testVariantImporter{l: l, path: path, under: under,
+					deps: map[string]bool{}, pkgs: map[string]*types.Package{}}
+				tpkg, info, err = l.checkWith(imp, path+"_test", xtest)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("%s [xtest]: %w", path, err)
 			}
@@ -296,6 +312,70 @@ func hasGoFiles(dir string) bool {
 	for _, e := range ents {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
 			return true
+		}
+	}
+	return false
+}
+
+// testVariantImporter resolves an external test package's imports the way
+// go test links it: the package under test is its test-augmented variant,
+// and every module package that imports it, directly or not, is checked
+// again against that variant, so the types passing through them stay
+// identical. Every other import is the loader's plain variant.
+type testVariantImporter struct {
+	l     *Loader
+	path  string         // the package under test
+	under *types.Package // its test-augmented variant
+	deps  map[string]bool
+	pkgs  map[string]*types.Package
+}
+
+// Import implements types.Importer.
+func (ti *testVariantImporter) Import(path string) (*types.Package, error) {
+	if path == ti.path {
+		return ti.under, nil
+	}
+	if !ti.reaches(path) {
+		return ti.l.Import(path)
+	}
+	if p, ok := ti.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, _ := ti.l.dirFor(path)
+	lib, _, _, err := ti.l.parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := ti.l.checkWith(ti, path, lib)
+	if err != nil {
+		return nil, err
+	}
+	ti.pkgs[path] = p
+	return p, nil
+}
+
+// reaches reports whether the module package at path imports the package
+// under test, directly or through other module packages.
+func (ti *testVariantImporter) reaches(path string) bool {
+	if r, ok := ti.deps[path]; ok {
+		return r
+	}
+	ti.deps[path] = false
+	dir, ok := ti.l.dirFor(path)
+	if !ok {
+		return false
+	}
+	lib, _, _, err := ti.l.parseDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, f := range lib {
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && (imp == ti.path || ti.reaches(imp)) {
+				ti.deps[path] = true
+				return true
+			}
 		}
 	}
 	return false

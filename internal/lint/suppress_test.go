@@ -235,3 +235,17 @@ func run() int64 {
 		t.Fatalf("want kept finding + vague-reason report, got %v", diags)
 	}
 }
+
+// TestLoadLinksExternalTestsAgainstExportTest: an external test package
+// that calls what export_test.go exports, on a value built by a module
+// package importing the package under test, type-checks as go test links
+// it, against the test-augmented package.
+func TestLoadLinksExternalTestsAgainstExportTest(t *testing.T) {
+	files := map[string]string{
+		"lib/lib.go":         "package lib\n\ntype T struct{ n int }\n\nfunc New() *T { return &T{n: 1} }\n",
+		"lib/export_test.go": "package lib\n\nfunc N(t *T) int { return t.n }\n",
+		"lib/lib_test.go":    "package lib_test\n\nimport (\n\t\"testing\"\n\n\t\"lib\"\n\t\"user\"\n)\n\nfunc TestN(t *testing.T) { _ = lib.N(user.Make()) }\n",
+		"user/user.go":       "package user\n\nimport \"lib\"\n\nfunc Make() *lib.T { return lib.New() }\n",
+	}
+	runOnTree(t, lint.Maporder, files, "./...")
+}

@@ -21,52 +21,68 @@ import (
 //
 // Off the grid, lookups return the nearest grid point's value: an
 // approximation whose error depends on the grid pitch against the DSSS
-// cliff. The simulator's defaults never install a table — the exact
-// closed form remains the reference path — and NewPERTableWithBudget
-// exists for callers that opt in and want the approximation error bounded
-// at build time rather than audited after the fact.
+// cliff. Nothing in the simulator installs a table — reception evaluates
+// the exact closed form (or proves it unnecessary; see BERUpperBound) —
+// and NewPERTableWithBudget exists for callers that opt in and want the
+// approximation error bounded at build time rather than audited after the
+// fact.
 type PERTable struct {
-	minDB  float64
-	stepDB float64
-	bits   int
-	ber    []float64
-	per    []float64
+	berGrid
+	bits int
+	per  []float64
 }
 
-// maxPERTablePoints bounds table construction: a grid this large means
-// the caller passed a pitch or span they did not intend.
+// berGrid is BitErrorRate evaluated on the uniform SINR grid minDB +
+// i·stepDB, i = 0 … round((maxDB−minDB)/stepDB). It is the grid both
+// PERTable and the reception bracket (BERUpperBound) are built on: at every
+// grid point ber holds exactly the closed form's bits.
+type berGrid struct {
+	minDB  float64
+	stepDB float64
+	ber    []float64
+}
+
+// maxPERTablePoints bounds grid construction: a grid this large means the
+// caller passed a pitch or span they did not intend.
 const maxPERTablePoints = 1 << 22
+
+// newBERGrid validates the grid parameters and evaluates BitErrorRate at
+// every grid point.
+func newBERGrid(minDB, maxDB, stepDB float64) (berGrid, error) {
+	switch {
+	case math.IsNaN(minDB) || math.IsNaN(maxDB) || math.IsNaN(stepDB):
+		return berGrid{}, fmt.Errorf("phy: PER table bounds must be numbers, got [%v, %v] step %v", minDB, maxDB, stepDB)
+	case stepDB <= 0:
+		return berGrid{}, fmt.Errorf("phy: PER table step must be positive, got %v", stepDB)
+	case maxDB < minDB:
+		return berGrid{}, fmt.Errorf("phy: PER table domain inverted: [%v, %v]", minDB, maxDB)
+	}
+	n := int(math.Round((maxDB-minDB)/stepDB)) + 1
+	if n > maxPERTablePoints {
+		return berGrid{}, fmt.Errorf("phy: PER table would hold %d points (max %d): grid too fine for its span", n, maxPERTablePoints)
+	}
+	g := berGrid{minDB: minDB, stepDB: stepDB, ber: make([]float64, n)}
+	for i := range g.ber {
+		g.ber[i] = BitErrorRate(g.grid(i))
+	}
+	return g, nil
+}
 
 // NewPERTable builds a table of BitErrorRate and PacketErrorRate(·, bits)
 // on the grid minDB + i·stepDB, i = 0 … round((maxDB−minDB)/stepDB). It
 // returns an error — never a partially checked table — if the parameters
 // are malformed or the equivalence proof fails at any grid point.
 func NewPERTable(minDB, maxDB, stepDB float64, bits int) (*PERTable, error) {
-	switch {
-	case math.IsNaN(minDB) || math.IsNaN(maxDB) || math.IsNaN(stepDB):
-		return nil, fmt.Errorf("phy: PER table bounds must be numbers, got [%v, %v] step %v", minDB, maxDB, stepDB)
-	case stepDB <= 0:
-		return nil, fmt.Errorf("phy: PER table step must be positive, got %v", stepDB)
-	case maxDB < minDB:
-		return nil, fmt.Errorf("phy: PER table domain inverted: [%v, %v]", minDB, maxDB)
-	case bits <= 0:
+	if bits <= 0 {
 		return nil, fmt.Errorf("phy: PER table frame size must be positive, got %d bits", bits)
 	}
-	n := int(math.Round((maxDB-minDB)/stepDB)) + 1
-	if n > maxPERTablePoints {
-		return nil, fmt.Errorf("phy: PER table would hold %d points (max %d): grid too fine for its span", n, maxPERTablePoints)
+	g, err := newBERGrid(minDB, maxDB, stepDB)
+	if err != nil {
+		return nil, err
 	}
-	t := &PERTable{
-		minDB:  minDB,
-		stepDB: stepDB,
-		bits:   bits,
-		ber:    make([]float64, n),
-		per:    make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		s := t.grid(i)
-		t.ber[i] = BitErrorRate(s)
-		t.per[i] = PacketErrorRate(s, bits)
+	t := &PERTable{berGrid: g, bits: bits, per: make([]float64, len(g.ber))}
+	for i := range t.per {
+		t.per[i] = PacketErrorRate(t.grid(i), bits)
 	}
 	if err := t.verify(); err != nil {
 		return nil, err
@@ -96,9 +112,9 @@ func NewPERTableWithBudget(minDB, maxDB, stepDB float64, bits int, budget float6
 }
 
 // grid returns the SINR of grid point i, computed the one way every
-// build/verify loop must share: a single multiply-add from the origin, so
-// no two call sites can disagree by a rounding step.
-func (t *PERTable) grid(i int) float64 { return t.minDB + float64(i)*t.stepDB }
+// build, verify and lookup path must share: a single multiply-add from the
+// origin, so no two call sites can disagree by a rounding step.
+func (g *berGrid) grid(i int) float64 { return g.minDB + float64(i)*g.stepDB }
 
 // verify is the equivalence proof: every grid point, looked up through
 // the public quantising accessors, must reproduce the closed forms

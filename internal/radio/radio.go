@@ -11,6 +11,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 
 	"nonortho/internal/frame"
 	"nonortho/internal/medium"
@@ -96,12 +97,6 @@ type Config struct {
 	// being received steals the lock (the weaker frame is lost). Zero
 	// disables capture, the conservative default.
 	CaptureMargin phy.DBm
-	// PERTable, when non-nil, makes the radio evaluate per-segment bit
-	// errors through the quantised BER lookup instead of the exact closed
-	// form. This is an explicit opt-in approximation for large sweeps —
-	// the published experiments leave it nil, so their outputs always
-	// come from the reference curve.
-	PERTable *phy.PERTable
 }
 
 // RegisterStats counts anomalous interactions with the CCA threshold
@@ -154,16 +149,43 @@ type Radio struct {
 	OnReceive func(Reception)
 	// OnTxDone is invoked when the radio's own transmission leaves the air.
 	OnTxDone func(*medium.Transmission)
+
+	// segments counts closed reception segments by the path that settled
+	// their bit errors.
+	segments [numSegmentPaths]int
+	// onSegment, when set, sees every closed segment's bit count,
+	// interference and bit errors: the reception oracle's view.
+	onSegment func(bits int, interf phy.DBm, errs int)
 }
 
 type receptionState struct {
-	tx        *medium.Transmission
-	signal    phy.DBm
+	tx     *medium.Transmission
+	signal phy.DBm
+	// quiet is phy.QuietInterference(signal): segments whose interference
+	// stays at or below it cannot take a bit error.
+	quiet     phy.DBm
 	bitErrors int
 	segStart  sim.Time
 	collided  bool
 	carry     float64 // fractional bits not yet attributed to a segment
 }
+
+// segmentPath is the way closeSegment settled a segment's bit errors.
+type segmentPath int
+
+const (
+	// pathQuiet: interference at or below the reception's quiet bound;
+	// neither SINR nor BER is evaluated.
+	pathQuiet segmentPath = iota
+	// pathZeroCut: SINR at or above phy.ZeroBERCut; BER is not evaluated.
+	pathZeroCut
+	// pathBracket: no error, settled from the first draws against
+	// phy.BERUpperBound.
+	pathBracket
+	// pathExact: the closed-form BER was evaluated.
+	pathExact
+	numSegmentPaths
+)
 
 // New attaches a radio to the medium in the idle state.
 func New(k *sim.Kernel, m *medium.Medium, cfg Config) *Radio {
@@ -369,6 +391,7 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 				r.rxBuf = receptionState{
 					tx:       tx,
 					signal:   newSignal,
+					quiet:    phy.QuietInterference(newSignal),
 					segStart: r.kernel.Now(),
 					collided: true,
 				}
@@ -398,6 +421,7 @@ func (r *Radio) OnAir(tx *medium.Transmission) {
 	r.rxBuf = receptionState{
 		tx:       tx,
 		signal:   signal,
+		quiet:    phy.QuietInterference(signal),
 		segStart: r.kernel.Now(),
 	}
 	r.rx = &r.rxBuf
@@ -431,6 +455,21 @@ func (r *Radio) OffAir(tx *medium.Transmission) {
 
 // closeSegment integrates bit errors over the elapsed segment at the
 // current interference level and starts a new segment.
+//
+// The errors are exactly Binomial(bits, BitErrorRate(SINR)) on the radio's
+// bit stream, count and stream position both, but most segments are
+// settled before the closed form, in three proven steps:
+//
+//   - quiet bound: interference at or below the reception's
+//     phy.QuietInterference bound guarantees SINR ≥ phy.ZeroBERCut, so
+//     neither SINR nor BER is evaluated;
+//   - zero cut: at SINR ≥ phy.ZeroBERCut the BER is exactly 0 and
+//     Binomial(bits, 0) draws nothing, so the segment has no errors and the
+//     stream is untouched;
+//   - bracket: below the cut, segmentErrors draws Binomial's first uniforms
+//     itself and settles "no error" against phy.BERUpperBound; only draws
+//     the bound cannot settle evaluate BitErrorRate and finish Binomial
+//     exactly (sim.RNG.BinomialFrom).
 func (r *Radio) closeSegment() {
 	now := r.kernel.Now()
 	elapsed := now - r.rx.segStart
@@ -445,14 +484,48 @@ func (r *Radio) closeSegment() {
 		return
 	}
 	interf := r.medium.Interference(r.rx.tx, r.id, r.cfg.Freq)
-	sinr := phy.SINR(r.rx.signal, interf)
-	var ber float64
-	if t := r.cfg.PERTable; t != nil {
-		ber = t.BER(sinr)
-	} else {
-		ber = phy.BitErrorRate(sinr)
+	errs, path := 0, pathQuiet
+	if interf > r.rx.quiet {
+		errs, path = segmentErrors(r.rng, bits, phy.SINR(r.rx.signal, interf))
+		r.rx.bitErrors += errs
 	}
-	r.rx.bitErrors += r.rng.Binomial(bits, ber)
+	r.segments[path]++
+	if r.onSegment != nil {
+		r.onSegment(bits, interf, errs)
+	}
+}
+
+// segmentErrors returns rng.Binomial(n, phy.BitErrorRate(sinr)), n > 0,
+// making exactly the draws that call would make, and the path that
+// settled it. It evaluates the closed form only when the zero cut and the
+// bracket cannot settle the count.
+func segmentErrors(rng *sim.RNG, n int, sinr float64) (int, segmentPath) {
+	if sinr >= phy.ZeroBERCut {
+		return 0, pathZeroCut
+	}
+	hi, log1pNegHi, ok := phy.BERUpperBound(sinr)
+	if !ok {
+		return rng.Binomial(n, phy.BitErrorRate(sinr)), pathExact
+	}
+	u := rng.Float64() // Binomial's first draw: BER > 0 below the cut
+	if n > sim.BinomialDirectMax {
+		// Binomial's geometric skip: no error iff the first skip reaches
+		// n. The skip under hi is no longer than under the BER.
+		if math.Floor(math.Log(u)/log1pNegHi) >= float64(n) {
+			return 0, pathBracket
+		}
+		return rng.BinomialFrom(u, n, phy.BitErrorRate(sinr)), pathExact
+	}
+	// Binomial's direct loop: draw u is an error iff u < BER ≤ hi.
+	for left := n; ; left-- {
+		if u < hi {
+			return rng.BinomialFrom(u, left, phy.BitErrorRate(sinr)), pathExact
+		}
+		if left == 1 {
+			return 0, pathBracket
+		}
+		u = rng.Float64()
+	}
 }
 
 func (r *Radio) finishRx() {

@@ -473,69 +473,3 @@ func TestNoCaptureWithoutMargin(t *testing.T) {
 		t.Errorf("delivered srcs = %v, want none without capture", clean)
 	}
 }
-
-// TestPERTableCleanChannelBitIdentical runs the same clean-channel
-// reception with and without a quantised PER table installed. A clean
-// channel sits far above the table's domain, where both the closed form
-// and the clamped lookup return a BER of exactly zero, so the two
-// receptions — RNG draws included — must be bit-identical.
-func TestPERTableCleanChannelBitIdentical(t *testing.T) {
-	run := func(tab *phy.PERTable) Reception {
-		k, m := world(t)
-		tx := New(k, m, Config{Pos: phy.Position{X: 0}, Freq: 2460, TxPower: 0, Address: 1})
-		rx := New(k, m, Config{Pos: phy.Position{X: 1}, Freq: 2460, Address: 2, PERTable: tab})
-		var got []Reception
-		rx.OnReceive = func(r Reception) { got = append(got, r) }
-		if _, err := tx.Transmit(dataFrame(64, 1, 2)); err != nil {
-			t.Fatal(err)
-		}
-		k.Run()
-		if len(got) != 1 {
-			t.Fatalf("receptions = %d, want 1", len(got))
-		}
-		return got[0]
-	}
-	tab, err := phy.NewPERTable(-20, 20, 0.05, 648)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := run(nil)
-	tabbed := run(tab)
-	if exact.Frame != nil && tabbed.Frame != nil {
-		exact.Frame, tabbed.Frame = nil, nil // pointers differ across worlds
-	}
-	if exact != tabbed {
-		t.Fatalf("receptions diverge: closed form %+v, table %+v", exact, tabbed)
-	}
-	if !tabbed.CRCOK {
-		t.Fatal("clean reception failed CRC on the table path")
-	}
-}
-
-// TestPERTableConfigIsConsulted proves the table branch is actually
-// taken: a table whose domain tops out deep inside the error cliff
-// clamps a clean channel's huge SINR down to a lossy BER, destroying a
-// frame the closed form would deliver untouched.
-func TestPERTableConfigIsConsulted(t *testing.T) {
-	k, m := world(t)
-	// Domain ends at 0 dB: every lookup above it clamps to BER(0 dB),
-	// which sits well up the DSSS cliff.
-	tab, err := phy.NewPERTable(-10, 0, 0.1, 648)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := New(k, m, Config{Pos: phy.Position{X: 0}, Freq: 2460, TxPower: 0, Address: 1})
-	rx := New(k, m, Config{Pos: phy.Position{X: 1}, Freq: 2460, Address: 2, PERTable: tab})
-	var got []Reception
-	rx.OnReceive = func(r Reception) { got = append(got, r) }
-	if _, err := tx.Transmit(dataFrame(64, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	k.Run()
-	if len(got) != 1 {
-		t.Fatalf("receptions = %d, want 1", len(got))
-	}
-	if got[0].CRCOK || got[0].BitErrors == 0 {
-		t.Fatalf("reception %+v survived a clamped-to-cliff PER table; the table path was not taken", got[0])
-	}
-}

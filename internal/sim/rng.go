@@ -100,9 +100,15 @@ func (g *RNG) Bernoulli(p float64) bool {
 	return g.r.Float64() < p
 }
 
+// BinomialDirectMax is the largest trial count for which Binomial draws
+// one uniform per trial; above it, Binomial skips geometrically from one
+// success to the next.
+const BinomialDirectMax = 64
+
 // Binomial returns the number of successes in n Bernoulli(p) trials. For
 // large n with small expected count it uses per-trial inversion on a
-// geometric skip, which is O(successes) instead of O(n).
+// geometric skip, which is O(successes) instead of O(n). It draws nothing
+// when n ≤ 0, p ≤ 0 or p ≥ 1.
 func (g *RNG) Binomial(n int, p float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
@@ -110,22 +116,35 @@ func (g *RNG) Binomial(n int, p float64) int {
 	if p >= 1 {
 		return n
 	}
+	return g.BinomialFrom(g.r.Float64(), n, p)
+}
+
+// BinomialFrom finishes a Binomial(n, p) whose first uniform draw u the
+// caller has already taken from this stream with Float64: the count it
+// returns and every draw it makes are those Binomial(n, p) would have
+// produced. A caller can thus look at u before it knows p exactly, and
+// settle some outcomes from a bound on p alone. It requires n > 0 and
+// 0 < p < 1, the only cases in which Binomial draws.
+func (g *RNG) BinomialFrom(u float64, n int, p float64) int {
 	// For moderate n a direct loop is cheap and unbiased.
-	if n <= 64 {
+	if n <= BinomialDirectMax {
 		c := 0
-		for i := 0; i < n; i++ {
-			if g.r.Float64() < p {
+		for i := 1; ; i++ {
+			if u < p {
 				c++
 			}
+			if i == n {
+				return c
+			}
+			u = g.r.Float64()
 		}
-		return c
 	}
 	// Geometric skipping: index of next success is current + 1 + Geom(p).
 	c := 0
 	i := 0
 	logq := math.Log1p(-p)
 	for {
-		skipF := math.Floor(math.Log(g.r.Float64()) / logq)
+		skipF := math.Floor(math.Log(u) / logq)
 		// Guard the int conversion: for tiny p the skip can exceed any
 		// integer range, which simply means no further successes.
 		if skipF >= float64(n-i) {
@@ -136,5 +155,6 @@ func (g *RNG) Binomial(n int, p float64) int {
 			return c
 		}
 		c++
+		u = g.r.Float64()
 	}
 }

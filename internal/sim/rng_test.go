@@ -106,6 +106,72 @@ func TestBinomialDegenerate(t *testing.T) {
 	}
 }
 
+// binomialReference is Binomial as one function, before it was split at
+// the first draw: the oracle that pins the split to the same counts and
+// the same draws.
+func binomialReference(g *RNG, n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	if n <= 64 {
+		c := 0
+		for i := 0; i < n; i++ {
+			if g.Float64() < p {
+				c++
+			}
+		}
+		return c
+	}
+	c, i := 0, 0
+	logq := math.Log1p(-p)
+	for {
+		skipF := math.Floor(math.Log(g.Float64()) / logq)
+		if skipF >= float64(n-i) {
+			return c
+		}
+		i += int(skipF) + 1
+		if i > n {
+			return c
+		}
+		c++
+	}
+}
+
+// TestBinomialFromContinuesBinomial: Binomial, and a caller that draws the
+// first uniform itself and hands it to BinomialFrom, both give the
+// reference count and leave the stream at the reference position, on
+// both sides of the 64-trial switch and across p.
+func TestBinomialFromContinuesBinomial(t *testing.T) {
+	ps := []float64{-1, 0, 1e-300, 1e-9, 1e-4, 0.01, 0.3, 0.5, 0.99, 1, 2}
+	for seed := int64(0); seed < 50; seed++ {
+		for _, n := range []int{0, 1, 2, 63, 64, 65, 100, 1016} {
+			for _, p := range ps {
+				ref, whole, split := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+				want := binomialReference(ref, n, p)
+				if got := whole.Binomial(n, p); got != want {
+					t.Fatalf("seed %d: Binomial(%d, %v) = %d, reference %d", seed, n, p, got, want)
+				}
+				got := 0
+				if n > 0 && p > 0 && p < 1 {
+					got = split.BinomialFrom(split.Float64(), n, p)
+				} else {
+					got = split.Binomial(n, p)
+				}
+				if got != want {
+					t.Fatalf("seed %d: BinomialFrom(u, %d, %v) = %d, reference %d", seed, n, p, got, want)
+				}
+				next := ref.Int63()
+				if whole.Int63() != next || split.Int63() != next {
+					t.Fatalf("seed %d: n=%d p=%v: stream position differs from the reference", seed, n, p)
+				}
+			}
+		}
+	}
+}
+
 func TestGaussianMoments(t *testing.T) {
 	g := NewRNG(13)
 	const n = 100000
