@@ -24,8 +24,8 @@ vet:
 	$(GO) vet ./...
 
 ## lint: the project-specific go/analysis suite (detsource, maporder,
-## dbmunits, confinedgo, resetcomplete, seedtaint, deliveryfreeze,
-## leasepair, snapfreeze) with the interprocedural call-graph engine.
+## dbmunits, confinedgo, seedtaint, deliveryfreeze, snapfreeze) with the
+## interprocedural call-graph engine.
 ## Offline: stdlib-only driver.
 lint:
 	$(GO) run ./cmd/dcnlint ./...
@@ -61,7 +61,7 @@ bench:
 benchsmoke:
 	$(GO) run ./cmd/dcnbench -bench 'KernelScheduleCancel|SensedPowerDense|OnAirFanout$$' \
 		-benchtime 1x -pkgs ./internal/sim,./internal/medium -out /dev/null
-	$(GO) run ./cmd/dcnbench -bench 'CellSetupArena' \
+	$(GO) run ./cmd/dcnbench -bench 'CellSetup' \
 		-benchtime 1x -pkgs ./internal/testbed -out /dev/null
 	$(GO) run ./cmd/dcnbench -bench 'SensedPower5kNodes|OnAirFanout5kNodes' \
 		-benchtime 1x -pkgs ./internal/medium -out /dev/null

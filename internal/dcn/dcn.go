@@ -212,9 +212,9 @@ type Adjustor struct {
 	// The wiring trio survives Reset by design: Reset restarts the
 	// protocol (re-entering the Initializing Phase via Start) on the
 	// same kernel, radio and configuration it was built with.
-	kernel *sim.Kernel  //lint:keep Reset restarts the protocol, not the wiring
-	radio  *radio.Radio //lint:keep Reset restarts the protocol, not the wiring
-	cfg    Config       //lint:keep Reset restarts the protocol, not the wiring
+	kernel *sim.Kernel
+	radio  *radio.Radio
+	cfg    Config
 
 	// OnThreshold, when set, observes every threshold the Adjustor
 	// programs into the radio (instrumentation/tracing hook).

@@ -36,77 +36,73 @@ func BeaconMode(opts Options) (BeaconModeResult, *Table) {
 	// Cell 0 = fixed threshold, cell 1 = DCN.
 	grid := runGrid(opts, 2, func(cell int, seed int64) float64 {
 		useDCN := cell == 1
-		{
-			core := leaseCore(opts, seed)
-			defer core.Release()
-			k := core.Kernel
-			sched := beacon.Schedule{BeaconOrder: 3, SuperframeOrder: 3}
+		k, m := newCell(opts, seed)
+		sched := beacon.Schedule{BeaconOrder: 3, SuperframeOrder: 3}
 
-			const pans = 4
-			coords := make([]*beacon.Coordinator, pans)
-			addr := frame.Address(1)
-			newRadio := func(x, y float64, freq phy.MHz) *radio.Radio {
-				r := core.NewRadio(radio.Config{
-					Pos:          phy.Position{X: x, Y: y},
-					Freq:         freq,
-					TxPower:      0,
-					CCAThreshold: phy.DefaultCCAThreshold,
-					Address:      addr,
-				})
-				addr++
-				return r
-			}
-			for p := 0; p < pans; p++ {
-				freq := 2458 + phy.MHz(3*p)
-				cx := 1.8 * float64(p)
-				coordRadio := newRadio(cx, 0, freq)
-				coord, err := beacon.NewCoordinator(k, coordRadio, sched)
-				if err != nil {
-					panic(err) // static schedule; cannot fail
-				}
-				coords[p] = coord
-				coordAddr := coordRadio.Address()
-				for dIdx := 0; dIdx < 4; dIdx++ {
-					devRadio := newRadio(cx+0.4+0.2*float64(dIdx), 0.7, freq)
-					dev, err := beacon.NewDevice(k, devRadio, coordAddr, sched)
-					if err != nil {
-						panic(err)
-					}
-					if useDCN {
-						adj := dcn.New(k, devRadio, dcn.Config{})
-						adj.Start()
-						prev := devRadio.OnReceive
-						devRadio.OnReceive = func(r radio.Reception) {
-							if prev != nil {
-								prev(r)
-							}
-							adj.Observe(r)
-						}
-					}
-					// Saturated device: refill after every send.
-					refill := func() {
-						for i := 0; i < 2; i++ {
-							dev.Send(make([]byte, 64))
-						}
-					}
-					dev.OnSent = func(*frame.Frame) { refill() }
-					refill()
-				}
-				coord.Start()
-			}
-
-			k.RunUntil(sim.FromDuration(opts.Warmup))
-			before := 0
-			for _, c := range coords {
-				before += c.Received()
-			}
-			k.RunUntil(sim.FromDuration(opts.Warmup + opts.Measure))
-			after := 0
-			for _, c := range coords {
-				after += c.Received()
-			}
-			return float64(after-before) / opts.Measure.Seconds()
+		const pans = 4
+		coords := make([]*beacon.Coordinator, pans)
+		addr := frame.Address(1)
+		newRadio := func(x, y float64, freq phy.MHz) *radio.Radio {
+			r := radio.New(k, m, radio.Config{
+				Pos:          phy.Position{X: x, Y: y},
+				Freq:         freq,
+				TxPower:      0,
+				CCAThreshold: phy.DefaultCCAThreshold,
+				Address:      addr,
+			})
+			addr++
+			return r
 		}
+		for p := 0; p < pans; p++ {
+			freq := 2458 + phy.MHz(3*p)
+			cx := 1.8 * float64(p)
+			coordRadio := newRadio(cx, 0, freq)
+			coord, err := beacon.NewCoordinator(k, coordRadio, sched)
+			if err != nil {
+				panic(err) // static schedule; cannot fail
+			}
+			coords[p] = coord
+			coordAddr := coordRadio.Address()
+			for dIdx := 0; dIdx < 4; dIdx++ {
+				devRadio := newRadio(cx+0.4+0.2*float64(dIdx), 0.7, freq)
+				dev, err := beacon.NewDevice(k, devRadio, coordAddr, sched)
+				if err != nil {
+					panic(err)
+				}
+				if useDCN {
+					adj := dcn.New(k, devRadio, dcn.Config{})
+					adj.Start()
+					prev := devRadio.OnReceive
+					devRadio.OnReceive = func(r radio.Reception) {
+						if prev != nil {
+							prev(r)
+						}
+						adj.Observe(r)
+					}
+				}
+				// Saturated device: refill after every send.
+				refill := func() {
+					for i := 0; i < 2; i++ {
+						dev.Send(make([]byte, 64))
+					}
+				}
+				dev.OnSent = func(*frame.Frame) { refill() }
+				refill()
+			}
+			coord.Start()
+		}
+
+		k.RunUntil(sim.FromDuration(opts.Warmup))
+		before := 0
+		for _, c := range coords {
+			before += c.Received()
+		}
+		k.RunUntil(sim.FromDuration(opts.Warmup + opts.Measure))
+		after := 0
+		for _, c := range coords {
+			after += c.Received()
+		}
+		return float64(after-before) / opts.Measure.Seconds()
 	})
 
 	fixed := sum(grid[0]) / float64(opts.Seeds)

@@ -106,7 +106,6 @@ func ccaSweepRun(seed int64, threshold phy.DBm, linkPower phy.DBm, coChannel boo
 	tb := newCellTestbed(opts, testbed.Options{
 		Seed: seed, StaticFadingSigma: -1, Topology: ccaSweepSnap(),
 	})
-	defer tb.Close()
 
 	link := tb.AddNetwork(specs[0],
 		testbed.NetworkConfig{Scheme: testbed.SchemeFixed, CCAThreshold: threshold})

@@ -109,7 +109,6 @@ func CityScale(opts Options) (CityScaleResult, *Table) {
 			Topology:       snap,
 			FarFieldBudget: cityFarFieldBudgetDB,
 		})
-		defer tb.Close()
 		for _, spec := range snap.Networks() {
 			tb.AddNetwork(spec, testbed.NetworkConfig{Scheme: scheme, Period: cityPeriod})
 		}

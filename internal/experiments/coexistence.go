@@ -52,7 +52,6 @@ func Coexistence(opts Options) (CoexistenceResult, *Table) {
 		v := variants[cell]
 		snap := topos.at(seed)
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		scheme := testbed.SchemeFixed
 		if v.dcnOn {
 			scheme = testbed.SchemeDCN

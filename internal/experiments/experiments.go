@@ -11,42 +11,28 @@ import (
 	"strings"
 	"time"
 
-	"nonortho/internal/arena"
+	"nonortho/internal/medium"
 	"nonortho/internal/parallel"
 	"nonortho/internal/phy"
-	"nonortho/internal/medium"
 	"nonortho/internal/sim"
 	"nonortho/internal/testbed"
 	"nonortho/internal/topology"
 )
 
-// cellArena pools kernels, media and radios across every simulation cell
-// the package runs. Grid drivers execute thousands of short cells; leasing
-// warm cores instead of reallocating removes the per-cell setup cost
-// (BenchmarkCellSetupArena). Cores reset to a bit-identical fresh state on
-// lease, so sharing one arena across all drivers and worker goroutines
-// cannot couple cells: results are byte-identical with or without it
-// (determinism_test.go asserts this across worker counts).
-var cellArena = arena.New()
-
-// newCellTestbed builds one cell's testbed on the shared arena, with the
-// run's per-cell budget applied. Every caller must Close the testbed
-// when — and only when — all of the cell's results have been read out.
+// newCellTestbed builds one cell's testbed with the run's per-cell budget
+// applied.
 func newCellTestbed(opts Options, o testbed.Options) *testbed.Testbed {
-	o.Arena = cellArena
 	o.Budget = opts.Budget
 	return testbed.New(o)
 }
 
-// leaseCore leases a raw kernel/medium core from the shared arena for
-// drivers that assemble their networks by hand instead of through the
-// testbed, with the run's per-cell budget applied. Callers must Release
-// it when the cell's results are read.
-func leaseCore(opts Options, seed int64, mopts ...medium.Option) *arena.Core {
-	core := cellArena.Lease(seed, mopts...)
-	core.Kernel.SetBudget(opts.Budget)
-	//lint:ignore leasepair deliberate hand-off: every driver binds this and defers Core.Release
-	return core
+// newCell builds one cell's kernel and medium, with the run's per-cell
+// budget applied, for drivers that assemble their networks by hand
+// instead of through the testbed.
+func newCell(opts Options, seed int64, mopts ...medium.Option) (*sim.Kernel, *medium.Medium) {
+	k := sim.NewKernel(seed)
+	k.SetBudget(opts.Budget)
+	return k, medium.New(k, mopts...)
 }
 
 // Options controls experiment execution. The zero value takes defaults

@@ -3,11 +3,12 @@ package experiments
 import (
 	"time"
 
-	"nonortho/internal/arena"
 	"nonortho/internal/frame"
 	"nonortho/internal/lpl"
+	"nonortho/internal/medium"
 	"nonortho/internal/phy"
 	"nonortho/internal/radio"
+	"nonortho/internal/sim"
 	"nonortho/internal/topology"
 )
 
@@ -48,16 +49,14 @@ func LPL(opts Options) (LPLResult, *Table) {
 	}
 	run := func(threshold phy.DBm) (delivered int, falsePerS, mjPerS float64) {
 		cells := runSeeds(opts, func(seed int64) seedResult {
-			core := leaseCore(opts, seed)
-			defer core.Release()
-			k := core.Kernel
+			k, m := newCell(opts, seed)
 
 			// The LPL link.
-			sndRadio := core.NewRadio(radio.Config{
+			sndRadio := radio.New(k, m, radio.Config{
 				Pos: phy.Position{X: 0}, Freq: 2460, TxPower: 0,
 				CCAThreshold: phy.DefaultCCAThreshold, Address: 1,
 			})
-			rcvRadio := core.NewRadio(radio.Config{
+			rcvRadio := radio.New(k, m, radio.Config{
 				Pos: phy.Position{X: 1}, Freq: 2460, TxPower: 0,
 				CCAThreshold: phy.DefaultCCAThreshold, Address: 2,
 			})
@@ -76,7 +75,7 @@ func LPL(opts Options) (LPLResult, *Table) {
 						{Pos: phy.Position{X: 4.2, Y: 2 * float64(i)}},
 					},
 				}
-				addNeighborNetwork(core, spec, seed)
+				addNeighborNetwork(k, m, spec)
 			}
 
 			// One reading per second.
@@ -127,17 +126,14 @@ func LPL(opts Options) (LPLResult, *Table) {
 
 // addNeighborNetwork spins up a small saturated CSMA network without the
 // full testbed (no statistics needed — it only exists to leak energy).
-func addNeighborNetwork(core *arena.Core, spec topology.NetworkSpec, seed int64) {
-	_ = seed
-	k := core.Kernel
-	sinkRadio := core.NewRadio(radio.Config{
+func addNeighborNetwork(k *sim.Kernel, m *medium.Medium, spec topology.NetworkSpec) {
+	sinkRadio := radio.New(k, m, radio.Config{
 		Pos: spec.Sink.Pos, Freq: spec.Freq, TxPower: 0,
 		CCAThreshold: phy.DefaultCCAThreshold,
 		Address:      frame.Address(1000 + int(spec.Freq)),
 	})
-	_ = sinkRadio
 	for i, snd := range spec.Senders {
-		r := core.NewRadio(radio.Config{
+		r := radio.New(k, m, radio.Config{
 			Pos: snd.Pos, Freq: spec.Freq, TxPower: 0,
 			CCAThreshold: phy.DefaultCCAThreshold,
 			Address:      frame.Address(2000 + 10*int(spec.Freq) + i),

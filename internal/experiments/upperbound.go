@@ -80,7 +80,6 @@ func UpperBound(opts Options) (UpperBoundResult, *Table) {
 		}
 		snap := topos.at(seed)
 		tb := newCellTestbed(opts, testbed.Options{Seed: seed, Topology: snap})
-		defer tb.Close()
 		for _, spec := range snap.Networks() {
 			tb.AddNetwork(spec, testbed.NetworkConfig{Scheme: scheme})
 		}

@@ -67,7 +67,10 @@ type Address uint16
 // Broadcast is the 802.15.4 broadcast short address.
 const Broadcast Address = 0xFFFF
 
-// Frame is a decoded MAC frame.
+// Frame is a decoded MAC frame. The simulator treats Payload as
+// read-only once the frame is handed to a MAC: traffic sources share one
+// payload slice across their frames, and receivers only read it (Decode
+// copies).
 type Frame struct {
 	Type    Type
 	AckReq  bool
@@ -75,7 +78,7 @@ type Frame struct {
 	PAN     uint16
 	Dst     Address
 	Src     Address
-	Payload []byte
+	Payload []byte // read-only once handed to a MAC (see Frame)
 }
 
 // Errors returned by Decode.

@@ -7,9 +7,7 @@ func All() []*Analyzer {
 		Dbmunits,
 		Deliveryfreeze,
 		Detsource,
-		Leasepair,
 		Maporder,
-		Resetcomplete,
 		Seedtaint,
 		Snapfreeze,
 	}

@@ -34,10 +34,6 @@ func TestConfinedgo(t *testing.T) {
 		"internal/watchdog", "internal/store")
 }
 
-func TestResetcomplete(t *testing.T) {
-	linttest.Run(t, lint.Resetcomplete, "resetcpl")
-}
-
 func TestSeedtaint(t *testing.T) {
 	linttest.Run(t, lint.Seedtaint, "internal/seedt", "internal/sim")
 }
@@ -54,11 +50,6 @@ func TestDbmunitsSummaries(t *testing.T) {
 	linttest.Run(t, lint.Dbmunits, "dbmhelp")
 }
 
-func TestLeasepair(t *testing.T) {
-	linttest.Run(t, lint.Leasepair, "internal/leasefix", "internal/arena",
-		"internal/testbed")
-}
-
 func TestSnapfreeze(t *testing.T) {
 	linttest.Run(t, lint.Snapfreeze, "snapuse", "internal/topology")
 }
@@ -68,7 +59,7 @@ func TestSnapfreeze(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"confinedgo", "dbmunits", "deliveryfreeze", "detsource",
-		"leasepair", "maporder", "resetcomplete", "seedtaint", "snapfreeze",
+		"maporder", "seedtaint", "snapfreeze",
 	}
 	all := lint.All()
 	if len(all) != len(want) {

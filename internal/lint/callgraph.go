@@ -30,9 +30,8 @@ type Module struct {
 	methodIndex map[string][]*modFunc
 	closures    map[*types.Package]map[string]bool
 
-	src         map[*modFunc]*sourceSummary // lazily built by sourceSummaries
-	units       map[string]unit             // lazily built by unitSummaries
-	leaseReturn map[string]bool             // lazily built by leaseReturners
+	src   map[*modFunc]*sourceSummary // lazily built by sourceSummaries
+	units map[string]unit             // lazily built by unitSummaries
 }
 
 // modFunc is one function declaration in the module. FuncLit bodies are
@@ -307,8 +306,6 @@ func internalSegment(path string) string {
 	return ""
 }
 
-func isArenaPkg(path string) bool    { return internalSegment(path) == "arena" }
-func isTestbedPkg(path string) bool  { return internalSegment(path) == "testbed" }
 func isTopologyPkg(path string) bool { return internalSegment(path) == "topology" }
 
 // isQuarantinedPkg reports whether the package is one of the

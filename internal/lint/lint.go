@@ -4,11 +4,11 @@
 // tool checks: no wall-clock or global randomness in simulation code
 // (detsource), no order-dependent work inside map iteration (maporder),
 // no mixing of dBm and milliwatt quantities in arithmetic (dbmunits),
-// concurrency confined to internal/parallel (confinedgo),
-// constructor/Reset parity for every arena-recycled type (resetcomplete),
-// every RNG seeded from the cell's (config, seed) tuple (seedtaint),
-// every arena lease paired with Core.Release (leasepair), and
-// topology.Snapshot immutability after construction (snapfreeze).
+// concurrency confined to internal/parallel (confinedgo), every RNG
+// seeded from the cell's (config, seed) tuple (seedtaint), no
+// interest-bucket edits while a frozen delivery set is live
+// (deliveryfreeze), and topology.Snapshot immutability after
+// construction (snapfreeze).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a type-checked Pass — but is
@@ -24,8 +24,7 @@
 // computed to fixed point. detsource and seedtaint flag sim-package
 // calls into helper chains that transitively reach a nondeterminism
 // sink, printing the path; dbmunits classifies neutral-named helpers by
-// their return units; leasepair treats helpers that visibly hand a
-// lease through as lease sites. Summaries never propagate out of
+// their return units. Summaries never propagate out of
 // simulation packages (the sink is flagged there directly), the
 // quarantined packages (internal/watchdog and friends use the wall
 // clock by charter), or test files.
@@ -41,11 +40,8 @@
 // reported, as is one naming an unknown analyzer or one that suppresses
 // nothing. An interprocedural finding is suppressed at the call site it
 // is reported at, and its reason must name the sink being waived
-// (time.Now, rand.NewSource, Core.Release, ...) so annotations state
-// what they exempt. resetcomplete additionally honours a field-level annotation:
-// a struct field whose declaration carries a "//lint:keep <reason>"
-// comment is deliberately retained across Reset and exempt from the
-// constructor/reset parity check.
+// (time.Now, rand.NewSource, ...) so annotations state what they
+// exempt.
 package lint
 
 import (

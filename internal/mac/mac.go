@@ -134,6 +134,9 @@ type MAC struct {
 	suspended bool
 	seq       uint8
 	counters  Counters
+	// csma is the pending step of the CSMA/CA run: backoff, CCA or
+	// turnaround.
+	csma sim.Event
 
 	// pending ACK state
 	awaitingAck bool
@@ -207,12 +210,12 @@ func (m *MAC) kick() {
 	m.startCSMA()
 }
 
-// Suspend models an MCU halt (node crash): the pending ACK timer is
-// cancelled, CSMA state is cleared and every queued frame is flushed via
-// OnDropped — RAM contents do not survive a reboot. Frames may still be
-// enqueued with Send while suspended (a traffic source refilling its
-// queue), but nothing is transmitted and incoming receptions are ignored
-// until Resume.
+// Suspend models an MCU halt (node crash): the pending ACK timer and CSMA
+// step are cancelled, CSMA state is cleared and every queued frame is
+// flushed via OnDropped — RAM contents do not survive a reboot. Frames
+// may still be enqueued with Send while suspended (a traffic source
+// refilling its queue), but nothing is transmitted and incoming
+// receptions are ignored until Resume.
 func (m *MAC) Suspend() {
 	if m.suspended {
 		return
@@ -220,6 +223,7 @@ func (m *MAC) Suspend() {
 	m.suspended = true
 	m.awaitingAck = false
 	m.kernel.Cancel(m.ackTimer)
+	m.kernel.Cancel(m.csma)
 	m.inFlight = false
 	m.retries = 0
 	flushed := m.queue
@@ -253,18 +257,18 @@ func (m *MAC) startCSMA() {
 func (m *MAC) csmaAttempt(nb, be int) {
 	slots := m.rng.Intn(1 << be)
 	delay := time.Duration(slots) * frame.BackoffPeriod
-	m.kernel.After(delay, func() {
+	m.csma = m.kernel.After(delay, func() {
 		if m.suspended {
 			return
 		}
 		// The CCA result is read at the end of the 8-symbol window.
-		m.kernel.After(frame.CCATime, func() {
+		m.csma = m.kernel.After(frame.CCATime, func() {
 			if m.suspended {
 				return
 			}
 			if m.cfg.CCA.Clear(m.radio) {
 				m.counters.ClearCCA++
-				m.kernel.After(frame.TurnaroundTime, m.transmitHead)
+				m.csma = m.kernel.After(frame.TurnaroundTime, m.transmitHead)
 				return
 			}
 			m.counters.BusyCCA++

@@ -115,3 +115,29 @@ func TestSuspendCancelsAckWait(t *testing.T) {
 		t.Fatalf("retries while suspended: Sent %d -> %d", sent, got)
 	}
 }
+
+// TestResumeDoesNotReviveStaleBackoff: a crash mid-backoff kills the
+// pending CSMA step with the rest of the MAC's RAM. Were it left pending,
+// it would fire after the reboot on whatever frame then heads the queue,
+// alongside the CSMA run that frame's Send started, and one frame would
+// take two clear-channel assessments.
+func TestResumeDoesNotReviveStaleBackoff(t *testing.T) {
+	k, md := world(t)
+	n := newNode(k, md, 1, 0, Config{})
+
+	if !n.m.Send(dataTo(2, 16)) { // schedules the first backoff
+		t.Fatal("Send rejected")
+	}
+	n.m.Suspend()
+	n.m.Resume()
+	if !n.m.Send(dataTo(2, 16)) {
+		t.Fatal("Send rejected after Resume")
+	}
+	k.RunUntil(sim.FromDuration(time.Second))
+
+	c := n.m.Counters()
+	if c.ClearCCA != 1 || c.BusyCCA != 0 || c.Sent != 1 || c.AccessFailures != 0 {
+		t.Fatalf("one post-reboot frame: ClearCCA %d, BusyCCA %d, Sent %d, AccessFailures %d; want 1, 0, 1, 0",
+			c.ClearCCA, c.BusyCCA, c.Sent, c.AccessFailures)
+	}
+}

@@ -28,7 +28,7 @@ import (
 //
 // The budget follows the phy.NewPERTableWithBudget pattern: exact by
 // default (no budget ⇒ no folding, bit-identical to a dense run), and an
-// opt-in bound that the constructor path (Reset) enforces by panicking
+// opt-in bound that New enforces by panicking
 // when the worst-case fold error exceeds it.
 
 // FarFieldProvider is the optional LossProvider extension a near-field
@@ -56,7 +56,7 @@ type FarFieldProvider interface {
 
 // WithFarField enables far-field folding with the given error budget in dB:
 // the maximum amount the aggregate far-field term may lift any listener's
-// sensed noise floor. Reset panics unless the installed loss provider is a
+// sensed noise floor. New panics unless the installed loss provider is a
 // FarFieldProvider whose certified floor keeps the worst-case fold error —
 // 10·log10(1 + maxFarCount·unit/noise), unit the fade-free in-channel power
 // of one maximum-power transmitter at exactly the floor loss — within the
@@ -89,7 +89,7 @@ func foldErrorDB(maxFarCount int, unitMW float64) float64 {
 }
 
 // resolveFarField derives the spatial-tier state from the freshly applied
-// options; reset calls it once per cell so the hot paths never re-inspect
+// options; New calls it once so the hot paths never re-inspect
 // the provider. Budget violations panic — misconfiguration, like a PER
 // table whose grid cannot honour its budget, is a programming error.
 func (m *Medium) resolveFarField() {
@@ -296,19 +296,14 @@ func rankOf(ids []int32, id int32) int {
 }
 
 // spatialRow returns the listener's rank-indexed link row grown to its
-// near-row length, re-extending into zeroed slab capacity when possible.
+// near-row length.
 func (m *Medium) spatialRow(listenerID, k int) []linkSlot {
 	row := m.rows[listenerID]
 	if k <= len(row) {
 		return row
 	}
-	if cap(row) >= k {
-		row = row[:k]
-	} else {
-		grown := make([]linkSlot, k)
-		copy(grown, row)
-		row = grown
-	}
-	m.rows[listenerID] = row
-	return row
+	grown := make([]linkSlot, k)
+	copy(grown, row)
+	m.rows[listenerID] = grown
+	return grown
 }

@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestFastReceptionMatchesExactOracle(t *testing.T) {
 				Address:       2 + frame.Address(i),
 				CaptureMargin: phy.DBm(3 * (i % 2)),
 			})
-			twin := twins.Stream(r.streamName)
+			twin := twins.Stream(fmt.Sprintf("radio.%d.bits", r.Address()))
 			r.onSegment = func(bits int, interf phy.DBm, errs int) {
 				sinr := phy.SINR(r.rx.signal, interf)
 				want := twin.Binomial(bits, phy.BitErrorRate(sinr))

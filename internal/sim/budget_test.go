@@ -124,52 +124,6 @@ func TestBudgetIgnoresCanceledEvents(t *testing.T) {
 	}
 }
 
-// Reset clears the budget and the fired counter — a recycled kernel
-// must behave like a fresh one until the next SetBudget.
-func TestResetClearsBudget(t *testing.T) {
-	k := NewKernel(1)
-	k.SetBudget(Budget{Events: 3})
-	selfRescheduling(k, Millisecond)
-	if be := trip(t, func() { k.Run() }); be == nil {
-		t.Fatal("budget did not trip before Reset")
-	}
-	k.Reset(2)
-	if k.FiredEvents() != 0 {
-		t.Fatalf("FiredEvents() = %d after Reset, want 0", k.FiredEvents())
-	}
-	fired := 0
-	for i := 0; i < 50; i++ {
-		k.At(Time(i)*Millisecond, func() { fired++ })
-	}
-	if be := trip(t, func() { k.Run() }); be != nil {
-		t.Fatalf("stale budget survived Reset: %v", be)
-	}
-	if fired != 50 {
-		t.Fatalf("fired %d events after Reset, want 50", fired)
-	}
-}
-
-// A budget trip mid-run leaves the kernel recoverable: Reset returns it
-// to a clean, runnable state (the arena's recycling contract).
-func TestBudgetTripThenResetIsClean(t *testing.T) {
-	k := NewKernel(9)
-	k.SetBudget(Budget{Events: 10})
-	selfRescheduling(k, Millisecond)
-	if be := trip(t, func() { k.Run() }); be == nil {
-		t.Fatal("budget did not trip")
-	}
-	k.Reset(9)
-	if k.Now() != 0 || k.Pending() != 0 {
-		t.Fatalf("Reset after trip: now=%v pending=%d, want clean kernel", k.Now(), k.Pending())
-	}
-	ran := false
-	k.At(Millisecond, func() { ran = true })
-	k.Run()
-	if !ran {
-		t.Fatal("kernel not runnable after budget trip + Reset")
-	}
-}
-
 // RunUntil may advance the clock past the virtual budget when idle —
 // only firing an event past the budget is a runaway.
 func TestVirtualBudgetAllowsIdleClockAdvance(t *testing.T) {

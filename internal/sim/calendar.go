@@ -41,8 +41,7 @@ const (
 )
 
 // calendarQueue is the kernel's pending-event store. The zero value is
-// ready to use; bucket storage is allocated on first push and retained
-// across Kernel.Reset (the arena's warm-slab contract).
+// ready to use; bucket storage is allocated on first push.
 type calendarQueue struct {
 	// buckets[i] holds the pending events of one calWidth-wide window in
 	// ascending (at, seq) order; heads[i] is the consumed-prefix index.
@@ -208,32 +207,6 @@ func (q *calendarQueue) drainOverflow() {
 	for len(q.overflow) > 0 && q.overflow[0].at < horizon {
 		q.insertBucket(heap.Pop(&q.overflow).(*eventNode))
 	}
-}
-
-// reset empties the queue, invoking recycle on every stored node, and
-// rewinds the cursor to the origin. Bucket storage keeps its capacity:
-// a recycled kernel re-fills the same slabs.
-func (q *calendarQueue) reset(recycle func(*eventNode)) {
-	for i, b := range q.buckets {
-		for j := q.heads[i]; j < len(b); j++ {
-			recycle(b[j])
-			b[j] = nil
-		}
-		q.buckets[i] = b[:0]
-		q.heads[i] = 0
-	}
-	for _, n := range q.overflow {
-		recycle(n)
-	}
-	q.overflow = q.overflow[:0]
-	for _, n := range q.early {
-		recycle(n)
-	}
-	q.early = q.early[:0]
-	q.occ = [occWords]uint64{}
-	q.cur = 0
-	q.winStart = 0
-	q.count = 0
 }
 
 // eventHeap is a min-heap ordered by (at, seq): the overflow and early

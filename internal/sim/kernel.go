@@ -89,16 +89,8 @@ type Kernel struct {
 	// against budget.Events.
 	budget Budget
 	fired  uint64
-	// streams survives Reset by design: stream objects stay parked and
-	// streamGen makes every lease reseed lazily, so a recycled kernel
-	// hands out fresh-identical draws without rebuilding the map.
-	streams map[string]*RNG //lint:keep reseeded lazily via streamGen, not rebuilt
-	// streamGen marks the kernel's current incarnation; a stream whose gen
-	// lags is reseeded lazily on its next Stream lease. Reset bumps this
-	// instead of eagerly reseeding every stream ever created on the kernel
-	// — a recycled kernel accumulates stream names across cells, and
-	// reseeding ones the next cell never draws from is pure waste.
-	streamGen uint64
+	// streams holds the named random streams, created on first use.
+	streams map[string]*RNG
 }
 
 // NewKernel returns a kernel with its clock at zero. All random streams
@@ -108,35 +100,6 @@ func NewKernel(seed int64) *Kernel {
 		seed:    seed,
 		streams: make(map[string]*RNG),
 	}
-}
-
-// Reset rewinds the kernel to the state NewKernel(seed) would produce
-// while keeping its allocations warm: pending events are recycled into the
-// node free-list (bumping generations, so outstanding handles go inert)
-// and the stream generation advances, so every existing random stream is
-// reseeded — lazily, at its next Stream lease — to the start of the
-// sequence a fresh kernel would derive for its name. A recycled cell
-// therefore pays seeding only for the streams it actually uses, exactly
-// like a fresh kernel; stream objects accumulated under other names stay
-// parked for free. The price is a contract: stream pointers leased before
-// Reset go stale and must be re-leased through Stream afterwards — which
-// every holder already does, because cells rebuild their MAC/radio/medium
-// objects (or Reinit them) per lease. The cross-cell arena relies on this
-// to make a recycled kernel bit-identical to a new one. Resetting while
-// Run is executing is a programming error and panics.
-func (k *Kernel) Reset(seed int64) {
-	if k.running {
-		panic("sim: Kernel.Reset called while running")
-	}
-	k.queue.reset(k.recycle)
-	k.now = 0
-	k.seq = 0
-	k.live = 0
-	k.stopped = false
-	k.seed = seed
-	k.budget = Budget{}
-	k.fired = 0
-	k.streamGen++
 }
 
 // Budget caps a simulation cell's execution deterministically: Events
@@ -179,12 +142,10 @@ func (e *BudgetError) Error() string {
 		e.Kind, e.Seed, e.Fired, e.At, e.Budget.Events, e.Budget.Virtual)
 }
 
-// SetBudget installs an execution budget for the current incarnation.
-// Reset clears it; re-apply after each arena lease. Call before Run.
+// SetBudget installs an execution budget. Call before Run.
 func (k *Kernel) SetBudget(b Budget) { k.budget = b }
 
-// FiredEvents reports the number of events executed since the last
-// Reset (or construction).
+// FiredEvents reports the number of events executed since construction.
 func (k *Kernel) FiredEvents() uint64 { return k.fired }
 
 // Now returns the current virtual time.

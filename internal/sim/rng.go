@@ -11,23 +11,12 @@ import (
 // math/rand functions, which would break reproducibility.
 type RNG struct {
 	r *rand.Rand
-	// gen is the kernel stream generation this stream was last (re)seeded
-	// under; Stream reseeds lagging streams on lease. Standalone RNGs
-	// (NewRNG outside a kernel) never consult it.
-	gen uint64
 }
 
 // NewRNG returns a stream seeded with the given seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
-
-// Reseed rewinds the stream to the start of the sequence NewRNG(seed)
-// would produce, reusing the existing generator state in place. A reseeded
-// stream is draw-for-draw identical to a freshly constructed one — the
-// property Kernel.Reset relies on to recycle stream objects across
-// simulation cells.
-func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // streamSeed derives a stream's seed from the kernel seed and its name, so
 // adding a new stream does not perturb draws on existing streams.
@@ -39,20 +28,12 @@ func streamSeed(kernelSeed int64, name string) int64 {
 
 // Stream returns the named random stream, creating it on first use. The
 // stream's seed is derived from the kernel seed and the name, so adding a
-// new stream does not perturb draws on existing streams. A stream left
-// over from before a Kernel.Reset is reseeded here, on lease — the draws
-// it hands out are always the sequence a fresh kernel would derive for the
-// name, but a cell only pays the seeding cost for streams it leases.
+// new stream does not perturb draws on existing streams.
 func (k *Kernel) Stream(name string) *RNG {
 	if s, ok := k.streams[name]; ok {
-		if s.gen != k.streamGen {
-			s.Reseed(streamSeed(k.seed, name))
-			s.gen = k.streamGen
-		}
 		return s
 	}
 	s := NewRNG(streamSeed(k.seed, name))
-	s.gen = k.streamGen
 	k.streams[name] = s
 	return s
 }

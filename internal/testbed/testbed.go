@@ -12,7 +12,6 @@ import (
 
 	"nonortho/internal/trace"
 
-	"nonortho/internal/arena"
 	"nonortho/internal/dcn"
 	"nonortho/internal/frame"
 	"nonortho/internal/mac"
@@ -90,11 +89,6 @@ type Options struct {
 	// budget; see medium.WithFarField). Zero keeps sums exact. Requires a
 	// near-field Topology whose model is in force.
 	FarFieldBudget float64
-	// Arena, when set, supplies the testbed's kernel, medium and radios
-	// from a cross-cell pool instead of fresh allocations; call Close when
-	// the cell's results have been read to return them. Results are
-	// bit-identical with or without an arena.
-	Arena *arena.Arena
 	// Budget bounds the kernel work this testbed's cell may do (fired
 	// events and/or virtual time). The zero value is unlimited. A cell
 	// exceeding its budget panics with *sim.BudgetError, which the sweep
@@ -207,19 +201,11 @@ type Testbed struct {
 	recorder *trace.Recorder
 
 	opts      Options
-	core      *arena.Core
 	networks  []*Network
 	nextAddr  frame.Address
 	measuring bool
 	measured  time.Duration
 	started   bool
-}
-
-// topoKey is the arena topology-identity key: cells share link-loss slabs
-// only when both the snapshot and the far-field budget match.
-type topoKey struct {
-	snap   *topology.Snapshot
-	budget float64
 }
 
 // New builds an empty testbed.
@@ -238,39 +224,15 @@ func New(opts Options) *Testbed {
 			mopts = append(mopts, medium.WithFarField(opts.FarFieldBudget))
 		}
 	}
-	if opts.Arena != nil {
-		// The snapshot doubles as the arena's topology-identity key: two
-		// cells sharing it (with its model in force) have bit-identical
-		// loss matrices, so a recycled core keeps its link-loss slabs. The
-		// far-field budget is part of the key: folded media index link rows
-		// by near-row rank, not source ID, so slabs must never survive a
-		// dense↔folded mode flip.
-		var topo any
-		if opts.Topology != nil && opts.PathLoss == opts.Topology.Model() {
-			topo = topoKey{snap: opts.Topology, budget: opts.FarFieldBudget}
-		}
-		core := opts.Arena.LeaseTopo(opts.Seed, topo, mopts...)
-		// After Lease: Reset has already cleared any previous cell's budget.
-		core.Kernel.SetBudget(opts.Budget)
-		return &Testbed{Kernel: core.Kernel, Medium: core.Medium, core: core, opts: opts, nextAddr: 1}
-	}
 	k := sim.NewKernel(opts.Seed)
 	k.SetBudget(opts.Budget)
 	m := medium.New(k, mopts...)
 	return &Testbed{Kernel: k, Medium: m, opts: opts, nextAddr: 1}
 }
 
-// Close releases the testbed's leased arena core, if any. Call it only
-// after every result has been read — throughput, energy reports, trace
-// buffers — because the kernel, medium and radios may be handed to
-// another cell immediately. A testbed built without an arena needs no
-// Close (it is a no-op), and Close is idempotent.
-func (tb *Testbed) Close() {
-	if tb.core != nil {
-		tb.core.Release()
-		tb.core = nil
-	}
-}
+// Close is a no-op: a testbed holds nothing beyond garbage-collected
+// memory. Callers that end a cell with it may keep doing so.
+func (tb *Testbed) Close() {}
 
 // EnableTrace attaches an event recorder with the given capacity. Call it
 // before AddNetwork; networks created earlier are not instrumented.
@@ -361,12 +323,7 @@ func (tb *Testbed) newNode(spec topology.NodeSpec, freq phy.MHz, cfg NetworkConf
 		CCAThreshold: cfg.CCAThreshold,
 		Address:      addr,
 	}
-	var r *radio.Radio
-	if tb.core != nil {
-		r = tb.core.NewRadio(rcfg)
-	} else {
-		r = radio.New(tb.Kernel, tb.Medium, rcfg)
-	}
+	r := radio.New(tb.Kernel, tb.Medium, rcfg)
 	var policy mac.CCAPolicy = mac.ThresholdCCA{}
 	switch cfg.Scheme {
 	case SchemeNoCarrierSense:
@@ -447,15 +404,18 @@ func (tb *Testbed) start() {
 }
 
 // startSource drives one sender: saturated (refill on completion) or
-// periodic.
+// periodic. Every frame of the source shares one zeroed payload: no layer
+// writes a payload (see frame.Frame.Payload), so a slice per frame would
+// only be garbage.
 func (tb *Testbed) startSource(n *Network, s *Node) {
 	dst := n.Sink.Radio.Address()
+	payload := make([]byte, n.Config.Payload)
 	makeFrame := func() *frame.Frame {
 		return &frame.Frame{
 			Type:    frame.TypeData,
 			Src:     s.Radio.Address(),
 			Dst:     dst,
-			Payload: make([]byte, n.Config.Payload),
+			Payload: payload,
 		}
 	}
 	if n.Config.Period > 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nonortho/internal/frame"
 	"nonortho/internal/phy"
 	"nonortho/internal/sim"
 	"nonortho/internal/topology"
@@ -265,5 +266,45 @@ func TestFailureInjectionAdjustorReset(t *testing.T) {
 	}
 	if th := n.Senders[0].Radio.CCAThreshold(); th < phy.NoiseFloor+10 {
 		t.Errorf("threshold after re-init = %v, want re-converged", th)
+	}
+}
+
+// TestSourcesShareAReadOnlyPayload runs a saturated and a periodic cell
+// of two adjacent-channel networks and checks the shared-payload
+// contract: every frame a source sends carries the same payload slice,
+// and no layer (MAC, radio, medium, receivers) writes to it, so it is
+// still all zero when the cell ends.
+func TestSourcesShareAReadOnlyPayload(t *testing.T) {
+	for _, period := range []time.Duration{0, 20 * time.Millisecond} {
+		tb := New(Options{Seed: 1})
+		tb.AddNetwork(singleNetworkSpec(t, 2460, 3), NetworkConfig{Period: period})
+		tb.AddNetwork(singleNetworkSpec(t, 2463, 3), NetworkConfig{Period: period, Scheme: SchemeDCN})
+		var payloads [][]byte
+		for _, n := range tb.Networks() {
+			for _, s := range n.Senders {
+				i := len(payloads)
+				payloads = append(payloads, nil)
+				prev := s.MAC.OnSent
+				s.MAC.OnSent = func(f *frame.Frame) {
+					prev(f)
+					if payloads[i] == nil {
+						payloads[i] = f.Payload
+					} else if &payloads[i][0] != &f.Payload[0] {
+						t.Fatalf("period %v: source %d sent a frame with its own payload slice", period, i)
+					}
+				}
+			}
+		}
+		tb.Run(time.Second, 2*time.Second)
+		for i, p := range payloads {
+			if len(p) == 0 {
+				t.Fatalf("period %v: source %d sent nothing", period, i)
+			}
+			for j, b := range p {
+				if b != 0 {
+					t.Fatalf("period %v: source %d payload byte %d = %#x after the run, want 0", period, i, j, b)
+				}
+			}
+		}
 	}
 }
